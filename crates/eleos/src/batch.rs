@@ -46,6 +46,20 @@ impl WriteBatch {
         }
     }
 
+    /// An empty batch with room for `pages` LPAGEs carrying
+    /// `payload_bytes` in total, so building it never reallocates (an
+    /// upper bound in variable-page mode: each entry pads by < 64 bytes).
+    pub fn with_capacity(mode: PageMode, pages: usize, payload_bytes: usize) -> Self {
+        let stored = match mode {
+            PageMode::Variable => payload_bytes + pages * (ENTRY_HEADER + 63),
+            PageMode::Fixed(sz) => pages * sz as usize,
+        };
+        WriteBatch {
+            buf: BytesMut::with_capacity(stored),
+            ..WriteBatch::new(mode)
+        }
+    }
+
     /// Append one LPAGE. Later entries for the same LPID overwrite earlier
     /// ones (Section III-A1: pages are posted "in a serial order matching
     /// the order in which an application posted them").

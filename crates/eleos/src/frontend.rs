@@ -249,10 +249,20 @@ impl Frontend {
             self.policy.flush_cpu_ns
                 + self.policy.enqueue_cpu_ns * self.pending.len() as Nanos,
         )?;
-        let mut merged = WriteBatch::new(self.pending[0].batch.mode());
-        for pb in &self.pending {
-            merged.append_batch(&pb.batch)?;
-        }
+        // A lone batch goes to the controller as is; only a real group
+        // pays for the coalescing copy.
+        let merged;
+        let batch = match self.pending.as_slice() {
+            [only] => &only.batch,
+            many => {
+                let mut m = WriteBatch::new(many[0].batch.mode());
+                for pb in many {
+                    m.append_batch(&pb.batch)?;
+                }
+                merged = m;
+                &merged
+            }
+        };
         // One advance per session in the group: the max WSN it covers
         // (batches queue in WSN order, so this is the last one seen),
         // in first-appearance order for determinism.
@@ -265,7 +275,7 @@ impl Frontend {
                 }
             }
         }
-        let ack = Self::write_with_retries(ssd, &merged, &advances)?;
+        let ack = Self::write_with_retries(ssd, batch, &advances)?;
         let group = self.next_group;
         self.next_group += 1;
         ssd.unit_mut(0).finish_span(SpanKind::GroupFlush, open_at);

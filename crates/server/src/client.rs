@@ -4,18 +4,17 @@
 //! consecutive WSNs without waiting for ACKs, keeps every unACKed batch
 //! in a redo buffer, and on reconnect replays the buffers above the
 //! server's re-ACKed high-water — exactly-once in effect, because the
-//! server's WSN check discards anything it already applied.
+//! server's WSN check discards anything it already applied. A batch is
+//! encoded once; the redo buffer holds those wire bytes and a replay
+//! resends them unchanged (the session id in them survives a resume).
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 
 use eleos::types::{Lpid, Sid, Wsn};
 
-use crate::proto::{Frame, FrameReader, FrameStep, PROTO_VERSION, REACK_GROUP};
-
-/// The page list of one buffered write batch.
-type RedoPages = Vec<(Lpid, Vec<u8>)>;
+use crate::proto::{encode_write_batch, Frame, FrameReader, FrameStep, PROTO_VERSION, REACK_GROUP};
 
 /// One connected (or reconnectable) session.
 pub struct Client {
@@ -24,8 +23,9 @@ pub struct Client {
     sid: Sid,
     next_wsn: Wsn,
     highest_acked: Wsn,
-    /// WSN -> pages, for every write not yet covered by a durable ACK.
-    redo: BTreeMap<Wsn, RedoPages>,
+    /// WSN -> encoded `WriteBatch` frame, for every write not yet covered
+    /// by a durable ACK.
+    redo: BTreeMap<Wsn, Vec<u8>>,
 }
 
 fn bad_data(msg: String) -> io::Error {
@@ -36,7 +36,7 @@ impl Client {
     /// Connect and open a fresh session.
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let mut c = Client {
-            stream: TcpStream::connect(addr)?,
+            stream: connect(addr)?,
             fr: FrameReader::new(),
             sid: 0,
             next_wsn: 1,
@@ -53,15 +53,11 @@ impl Client {
     /// handshake — the acked-never-vanish contract says it is at least
     /// the highest ACK this client saw before the connection died.
     pub fn reconnect(&mut self, addr: SocketAddr) -> io::Result<Wsn> {
-        self.stream = TcpStream::connect(addr)?;
+        self.stream = connect(addr)?;
         self.fr = FrameReader::new();
         let sid = self.sid;
         let server_highest = self.hello(sid)?;
-        let replay: Vec<(Wsn, RedoPages)> =
-            self.redo.iter().map(|(w, p)| (*w, p.clone())).collect();
-        for (wsn, pages) in replay {
-            self.send(&Frame::WriteBatch { sid: self.sid, wsn, pages })?;
-        }
+        self.replay()?;
         Ok(server_highest)
     }
 
@@ -111,8 +107,8 @@ impl Client {
     pub fn write(&mut self, pages: Vec<(Lpid, Vec<u8>)>) -> io::Result<Wsn> {
         let wsn = self.next_wsn;
         self.next_wsn += 1;
-        self.redo.insert(wsn, pages.clone());
-        self.send(&Frame::WriteBatch { sid: self.sid, wsn, pages })?;
+        let wire = self.redo.entry(wsn).or_insert(encode_write_batch(self.sid, wsn, &pages));
+        self.stream.write_all(wire)?;
         Ok(wsn)
     }
 
@@ -175,12 +171,8 @@ impl Client {
                 self.apply_highest(highest_wsn);
                 if group == REACK_GROUP {
                     // Not applied: replay everything above the re-ACKed
-                    // high-water, in WSN order.
-                    let replay: Vec<(Wsn, RedoPages)> =
-                        self.redo.iter().map(|(w, p)| (*w, p.clone())).collect();
-                    for (wsn, pages) in replay {
-                        self.send(&Frame::WriteBatch { sid: self.sid, wsn, pages })?;
-                    }
+                    // high-water.
+                    self.replay()?;
                 }
                 Ok(())
             }
@@ -201,26 +193,39 @@ impl Client {
         self.redo = keep;
     }
 
+    /// Resend every buffered batch, in WSN order, as encoded.
+    fn replay(&mut self) -> io::Result<()> {
+        for wire in self.redo.values() {
+            self.stream.write_all(wire)?;
+        }
+        Ok(())
+    }
+
     fn send(&mut self, f: &Frame) -> io::Result<()> {
         self.stream.write_all(&f.encode())
     }
 
     fn recv(&mut self) -> io::Result<Frame> {
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.fr.next_frame() {
                 FrameStep::Frame(f) => return Ok(f),
                 FrameStep::Malformed(why) => return Err(bad_data(why.into())),
                 FrameStep::NeedMore => {}
             }
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
+            if self.fr.read_from(&mut self.stream)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed",
                 ));
             }
-            self.fr.feed(&buf[..n]);
         }
     }
+}
+
+/// Open a request/response connection: small frames (hello, reads) go
+/// out at once instead of waiting behind Nagle for the peer's delayed ACK.
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }

@@ -1,8 +1,10 @@
 //! The single-threaded storage engine behind the wire server.
 //!
 //! Exactly one thread owns the controller and the group-commit
-//! [`Frontend`]; per-connection reader threads parse frames and push
-//! [`EngineMsg`]s through one bounded channel. That shape keeps the
+//! [`Frontend`]; per-connection reader threads parse frames, build each
+//! write batch in the controller's format, and push [`EngineMsg`]s
+//! through one bounded channel, so the engine does no per-page byte
+//! work (DESIGN.md §16, buffer ownership). That shape keeps the
 //! SimClock timeline deterministic (one mutator, message order = timeline
 //! order), and the channel bound *is* the ingress backpressure: when the
 //! engine falls behind, reader threads block on `send`, their sockets
@@ -23,13 +25,13 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 
 use eleos::error::EleosError;
 use eleos::frontend::{Frontend, GroupAck, GroupCommitPolicy};
-use eleos::types::{Lpid, Sid, Wsn};
-use eleos::{Controller, WriteBatch};
+use eleos::types::{Lpid, Sid};
+use eleos::Controller;
 use eleos_flash::Activity;
 
 use crate::proto::{
-    Frame, ERR_BAD_REQUEST, ERR_BAD_VERSION, ERR_INTERNAL, ERR_UNKNOWN_SESSION, PROTO_VERSION,
-    REACK_GROUP,
+    encode_read_resp, Frame, Request, WireWrite, ERR_BAD_REQUEST, ERR_BAD_VERSION, ERR_INTERNAL,
+    ERR_UNKNOWN_SESSION, PROTO_VERSION, REACK_GROUP,
 };
 
 /// Fixed CPU per decoded frame, charged to [`Activity::Net`].
@@ -42,8 +44,8 @@ const NET_BYTES_PER_NS: u64 = 64;
 pub enum EngineMsg {
     /// A new TCP connection; `stream` is the engine's write half.
     Connected { conn: u64, stream: TcpStream },
-    /// One well-formed frame from a connection.
-    Frame { conn: u64, frame: Frame },
+    /// One well-formed request from a connection.
+    Request { conn: u64, request: Request },
     /// The connection died (EOF, I/O error, or malformed frame).
     Disconnected { conn: u64, reason: &'static str },
     /// Out-of-band shutdown from [`crate::ServerHandle::shutdown`].
@@ -122,9 +124,9 @@ impl<C: Controller> Engine<C> {
                     self.conns.insert(conn, ConnState { stream, client, sid: 0 });
                     self.stats.conns_opened += 1;
                 }
-                EngineMsg::Frame { conn, frame } => {
+                EngineMsg::Request { conn, request } => {
                     self.stats.frames_in += 1;
-                    if self.handle_frame(conn, frame) {
+                    if self.handle_request(conn, request) {
                         self.drain_and_close();
                         return (self.ssd, self.stats);
                     }
@@ -141,21 +143,21 @@ impl<C: Controller> Engine<C> {
         (self.ssd, self.stats)
     }
 
-    /// Handle one frame; `true` means a graceful shutdown was requested.
-    fn handle_frame(&mut self, conn: u64, frame: Frame) -> bool {
+    /// Handle one request; `true` means a graceful shutdown was requested.
+    fn handle_request(&mut self, conn: u64, request: Request) -> bool {
         if !self.conns.contains_key(&conn) {
             return false; // raced with a disconnect
         }
-        self.charge_net(&frame);
-        match frame {
-            Frame::Hello { version, sid } => self.on_hello(conn, version, sid),
-            Frame::WriteBatch { sid, wsn, pages } => self.on_write(conn, sid, wsn, pages),
-            Frame::ReadBatch { lpids } => self.on_read(conn, &lpids),
-            Frame::DeleteBatch { lpids } => self.on_delete(conn, &lpids),
-            Frame::Shutdown => return true,
+        self.charge_net(&request);
+        match request {
+            Request::Write(w) => self.on_write(conn, w),
+            Request::Frame(Frame::Hello { version, sid }) => self.on_hello(conn, version, sid),
+            Request::Frame(Frame::ReadBatch { lpids }) => self.on_read(conn, &lpids),
+            Request::Frame(Frame::DeleteBatch { lpids }) => self.on_delete(conn, &lpids),
+            Request::Frame(Frame::Shutdown) => return true,
             // Server->client opcodes arriving at the server are a protocol
             // violation: treat like a malformed stream.
-            _ => self.drop_conn(conn),
+            Request::Frame(_) => self.drop_conn(conn),
         }
         false
     }
@@ -199,29 +201,27 @@ impl<C: Controller> Engine<C> {
         }
     }
 
-    fn on_write(&mut self, conn: u64, sid: Sid, wsn: Wsn, pages: Vec<(Lpid, Vec<u8>)>) {
+    fn on_write(&mut self, conn: u64, w: WireWrite) {
         let (client, bound_sid) = match self.conns.get(&conn) {
             Some(c) => (c.client, c.sid),
             None => return,
         };
-        if bound_sid == 0 || bound_sid != sid || pages.is_empty() {
-            self.send(conn, &Frame::Err {
-                code: ERR_BAD_REQUEST,
-                detail: "write outside the connection's session".into(),
-            });
-            return;
-        }
-        let mode = self.ssd.unit(0).config().page_mode;
-        let mut batch = WriteBatch::new(mode);
-        for (lpid, payload) in &pages {
-            if let Err(e) = batch.put(*lpid, payload) {
-                self.send(conn, &Frame::Err {
-                    code: ERR_BAD_REQUEST,
-                    detail: format!("bad page: {e}"),
-                });
+        let WireWrite { sid, wsn, batch, .. } = w;
+        let batch = match batch {
+            _ if bound_sid == 0 || bound_sid != sid => {
+                Err("write outside the connection's session".to_string())
+            }
+            Ok(b) if b.is_empty() => Err("empty write batch".to_string()),
+            Ok(b) => Ok(b),
+            Err(e) => Err(format!("bad page: {e}")),
+        };
+        let batch = match batch {
+            Ok(b) => b,
+            Err(detail) => {
+                self.send(conn, &Frame::Err { code: ERR_BAD_REQUEST, detail });
                 return;
             }
-        }
+        };
         let at = self.ssd.host_now();
         match self.fe.submit_sessioned(&mut self.ssd, client, at, batch, sid, wsn) {
             Ok(acks) => self.dispatch_acks(&acks),
@@ -253,7 +253,7 @@ impl<C: Controller> Engine<C> {
         let mut pages = Vec::with_capacity(lpids.len());
         for &l in lpids {
             match self.ssd.read(l) {
-                Ok(b) => pages.push(Some(b.as_ref().to_vec())),
+                Ok(b) => pages.push(Some(b)),
                 Err(EleosError::NotFound(_)) => pages.push(None),
                 Err(e) => {
                     self.send_internal(conn, &e);
@@ -261,7 +261,7 @@ impl<C: Controller> Engine<C> {
                 }
             }
         }
-        self.send(conn, &Frame::ReadResp { pages });
+        self.send_wire(conn, &encode_read_resp(&pages));
     }
 
     fn on_delete(&mut self, conn: u64, lpids: &[Lpid]) {
@@ -345,8 +345,12 @@ impl<C: Controller> Engine<C> {
     }
 
     fn send(&mut self, conn: u64, frame: &Frame) {
+        self.send_wire(conn, &frame.encode());
+    }
+
+    fn send_wire(&mut self, conn: u64, wire: &[u8]) {
         if let Some(c) = self.conns.get_mut(&conn) {
-            if c.stream.write_all(&frame.encode()).is_err() {
+            if c.stream.write_all(wire).is_err() {
                 self.drop_conn(conn);
             }
         }
@@ -361,12 +365,12 @@ impl<C: Controller> Engine<C> {
 
     /// Frame decode + dispatch CPU, attributed to [`Activity::Net`] on
     /// unit 0 so the ledger's conservation invariant stays exact.
-    fn charge_net(&mut self, frame: &Frame) {
-        let payload: u64 = match frame {
-            Frame::WriteBatch { pages, .. } => {
-                pages.iter().map(|(_, p)| p.len() as u64).sum()
+    fn charge_net(&mut self, request: &Request) {
+        let payload: u64 = match request {
+            Request::Write(w) => w.payload_bytes,
+            Request::Frame(Frame::ReadBatch { lpids } | Frame::DeleteBatch { lpids }) => {
+                8 * lpids.len() as u64
             }
-            Frame::ReadBatch { lpids } | Frame::DeleteBatch { lpids } => 8 * lpids.len() as u64,
             _ => 0,
         };
         self.ssd

@@ -30,5 +30,7 @@ pub mod server;
 pub use chaos::{run_kill_sweep, run_net_chaos, NetChaosConfig, NetChaosReport};
 pub use client::Client;
 pub use engine::{Engine, EngineMsg, NetStats};
-pub use proto::{Frame, FrameReader, FrameStep, MAX_FRAME, PROTO_VERSION, REACK_GROUP};
+pub use proto::{
+    Frame, FrameReader, FrameStep, Request, WireWrite, MAX_FRAME, PROTO_VERSION, REACK_GROUP,
+};
 pub use server::ServerHandle;

@@ -1,7 +1,6 @@
 //! TCP front door: accept loop, per-connection reader threads, and the
 //! [`ServerHandle`] a host (or test harness) drives.
 
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -9,7 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use eleos::frontend::GroupCommitPolicy;
-use eleos::Controller;
+use eleos::{Controller, PageMode};
 
 use crate::engine::{Engine, EngineMsg, NetStats};
 use crate::proto::{FrameReader, FrameStep};
@@ -31,9 +30,12 @@ impl<C: Controller + Send + 'static> ServerHandle<C> {
     /// The ingress channel is bounded at twice the group-commit
     /// backpressure cap: a reader thread that cannot enqueue blocks, its
     /// socket stops draining, and TCP flow control reaches the client.
+    /// Reader threads build write batches in the controller's page mode,
+    /// read here once.
     pub fn spawn(ssd: C, policy: GroupCommitPolicy, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let mode = ssd.unit(0).config().page_mode;
         let bound = policy.max_queued_batches.saturating_mul(2).max(16);
         let (tx, rx) = sync_channel::<EngineMsg>(bound);
         let engine = std::thread::spawn({
@@ -44,7 +46,7 @@ impl<C: Controller + Send + 'static> ServerHandle<C> {
         let accept = std::thread::spawn({
             let tx = tx.clone();
             let stop = Arc::clone(&stop);
-            move || accept_loop(listener, tx, stop)
+            move || accept_loop(listener, tx, stop, mode)
         });
         Ok(ServerHandle { addr, tx, stop, engine, accept })
     }
@@ -67,7 +69,12 @@ impl<C: Controller + Send + 'static> ServerHandle<C> {
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: SyncSender<EngineMsg>, stop: Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    tx: SyncSender<EngineMsg>,
+    stop: Arc<AtomicBool>,
+    mode: PageMode,
+) {
     for (conn, stream) in (1u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -76,6 +83,9 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<EngineMsg>, stop: Arc<Atomi
             Ok(s) => s,
             Err(_) => break,
         };
+        // ACKs and read responses are small writes the client waits on:
+        // never let Nagle hold one back for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let write_half = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => continue,
@@ -85,29 +95,28 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<EngineMsg>, stop: Arc<Atomi
         }
         std::thread::spawn({
             let tx = tx.clone();
-            move || reader_loop(conn, stream, tx)
+            move || reader_loop(conn, stream, tx, mode)
         });
     }
 }
 
-/// Pump one connection's socket through the incremental frame decoder.
+/// Pump one connection's socket through the incremental frame decoder,
+/// building each write batch here so the engine thread only submits it.
 /// EOF, I/O errors, and malformed streams all end as one `Disconnected`
 /// message — the engine purges the connection's unflushed batches and
 /// closes the socket; the session itself survives for reconnect-redo.
-fn reader_loop(conn: u64, mut stream: TcpStream, tx: SyncSender<EngineMsg>) {
+fn reader_loop(conn: u64, mut stream: TcpStream, tx: SyncSender<EngineMsg>, mode: PageMode) {
     let mut fr = FrameReader::new();
-    let mut buf = [0u8; 16 * 1024];
     let reason = 'outer: loop {
-        let n = match stream.read(&mut buf) {
+        match fr.read_from(&mut stream) {
             Ok(0) => break 'outer "eof",
-            Ok(n) => n,
+            Ok(_) => {}
             Err(_) => break 'outer "io error",
-        };
-        fr.feed(&buf[..n]);
+        }
         loop {
-            match fr.next_frame() {
-                FrameStep::Frame(frame) => {
-                    if tx.send(EngineMsg::Frame { conn, frame }).is_err() {
+            match fr.next_request(mode) {
+                FrameStep::Frame(request) => {
+                    if tx.send(EngineMsg::Request { conn, request }).is_err() {
                         return; // engine is gone; nothing to report to
                     }
                 }

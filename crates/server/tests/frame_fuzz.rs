@@ -1,17 +1,24 @@
 //! Frame-decoder robustness (ISSUE 10 satellite 1).
 //!
 //! Property: arbitrary byte-level splits, truncations, and garbage
-//! prefixes never panic the decoder or corrupt controller state. A
+//! prefixes never panic the decoder or corrupt controller state, whether
+//! bytes are fed in or read straight from a socket-like source. A
 //! malformed or half-received frame closes *that* connection cleanly —
 //! losing only its unACKed batches — while other connections keep
-//! serving.
+//! serving. The server's direct-to-batch `WriteBatch` decode accepts
+//! exactly what the `Frame` decoder accepts and yields the same pages.
 
-use std::io::Write;
+use std::io::{self, Read, Write};
 
+use eleos::batch::{parse_batch, ENTRY_HEADER};
 use eleos::frontend::GroupCommitPolicy;
-use eleos::{Eleos, EleosConfig};
+use eleos::types::{Lpid, MAP_PAGE_BASE};
+use eleos::{Eleos, EleosConfig, PageMode, WriteBatch};
 use eleos_flash::{CostProfile, FlashDevice, Geometry};
-use eleos_server::{Client, Frame, FrameReader, FrameStep, ServerHandle, PROTO_VERSION};
+use eleos_server::proto::OP_WRITE_BATCH;
+use eleos_server::{
+    Client, Frame, FrameReader, FrameStep, Request, ServerHandle, MAX_FRAME, PROTO_VERSION,
+};
 use proptest::prelude::*;
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -28,6 +35,94 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         Just(Frame::Shutdown),
         (any::<u64>(), any::<u64>(), any::<u64>())
             .prop_map(|(sid, highest_wsn, group)| Frame::Ack { sid, highest_wsn, group }),
+    ]
+}
+
+/// A byte source whose reads return the next of `cuts` bytes (cycled),
+/// capped by the caller's buffer and by the data left.
+struct ChunkedReader<'a> {
+    data: &'a [u8],
+    cuts: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+}
+
+impl<'a> ChunkedReader<'a> {
+    fn new(data: &'a [u8], cuts: &'a [usize]) -> Self {
+        ChunkedReader { data, cuts: cuts.iter().cycle() }
+    }
+}
+
+impl Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (*self.cuts.next().unwrap()).min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Read chunk sizes from one byte up to more than a whole maximal frame.
+fn arb_read_cuts() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(prop_oneof![3 => 1usize..48, 1 => 1usize..=MAX_FRAME + 4096], 1..12)
+}
+
+/// Decode every complete frame buffered; `true` once the stream is
+/// malformed.
+fn drain(fr: &mut FrameReader, decoded: &mut Vec<Frame>) -> bool {
+    loop {
+        match fr.next_frame() {
+            FrameStep::Frame(f) => decoded.push(f),
+            FrameStep::NeedMore => return false,
+            FrameStep::Malformed(_) => return true,
+        }
+    }
+}
+
+fn arb_lpid() -> impl Strategy<Value = Lpid> {
+    prop_oneof![0u64..1000, Just(MAP_PAGE_BASE), any::<u64>()]
+}
+
+fn arb_write_batch() -> impl Strategy<Value = Frame> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        prop::collection::vec((arb_lpid(), prop::collection::vec(any::<u8>(), 0..80)), 0..5),
+    )
+        .prop_map(|(sid, wsn, pages)| Frame::WriteBatch { sid, wsn, pages })
+}
+
+/// Frame bodies (length prefix stripped): valid `WriteBatch`es, the same
+/// cut short, stretched, or with one byte changed, byte soup behind the
+/// `WriteBatch` opcode, byte soup, and the other frames.
+fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+    let body = |f: Frame| f.encode()[4..].to_vec();
+    prop_oneof![
+        arb_write_batch().prop_map(body),
+        (arb_write_batch(), any::<usize>(), any::<u8>(), 0..3u8).prop_map(
+            move |(f, at, byte, how)| {
+                let mut b = body(f);
+                let i = at % b.len();
+                match how {
+                    0 => b.truncate(i),
+                    1 => b.push(byte),
+                    _ => b[i] ^= byte | 1,
+                }
+                b
+            }
+        ),
+        prop::collection::vec(any::<u8>(), 0..96).prop_map(|mut b| {
+            b.insert(0, OP_WRITE_BATCH);
+            b
+        }),
+        prop::collection::vec(any::<u8>(), 0..96),
+        arb_frame().prop_map(body),
+    ]
+}
+
+fn arb_mode() -> impl Strategy<Value = PageMode> {
+    prop_oneof![
+        Just(PageMode::Variable),
+        Just(PageMode::Fixed(64)),
+        Just(PageMode::Fixed(4096)),
     ]
 }
 
@@ -70,6 +165,7 @@ proptest! {
         cuts in prop::collection::vec(1usize..48, 1..12),
         garbage in prop::collection::vec(any::<u8>(), 1..32),
         truncate_last in any::<bool>(),
+        read_cuts in arb_read_cuts(),
     ) {
         let mut wire = Vec::new();
         for f in &frames {
@@ -85,36 +181,144 @@ proptest! {
         // garbage after it must NOT produce a frame beyond the prefix.
         wire.extend_from_slice(&garbage);
 
-        let mut fr = FrameReader::new();
-        let mut decoded = Vec::new();
-        let mut pos = 0;
-        let mut cut_iter = cuts.iter().cycle();
-        let mut dead = false;
-        while pos < wire.len() && !dead {
-            let n = (*cut_iter.next().unwrap()).min(wire.len() - pos);
-            fr.feed(&wire[pos..pos + n]);
-            pos += n;
-            loop {
-                match fr.next_frame() {
-                    FrameStep::Frame(f) => decoded.push(f),
-                    FrameStep::NeedMore => break,
-                    FrameStep::Malformed(_) => { dead = true; break; }
+        // Both feeding modes see the same stream: bytes fed in by the
+        // caller, and bytes the decoder reads from the source itself.
+        for via_read_from in [false, true] {
+            let mut fr = FrameReader::new();
+            let mut decoded = Vec::new();
+            let mut dead = false;
+            if via_read_from {
+                let mut src = ChunkedReader::new(&wire, &read_cuts);
+                while !dead && fr.read_from(&mut src).unwrap() > 0 {
+                    dead = drain(&mut fr, &mut decoded);
+                }
+            } else {
+                let mut pos = 0;
+                let mut cut_iter = cuts.iter().cycle();
+                while pos < wire.len() && !dead {
+                    let n = (*cut_iter.next().unwrap()).min(wire.len() - pos);
+                    fr.feed(&wire[pos..pos + n]);
+                    pos += n;
+                    dead = drain(&mut fr, &mut decoded);
                 }
             }
+            if dead {
+                // Poison is sticky: a valid frame arriving after it never
+                // decodes, and its bytes are not kept.
+                let valid = Frame::Shutdown.encode();
+                if via_read_from {
+                    prop_assert_eq!(fr.read_from(&mut &valid[..]).unwrap(), valid.len());
+                } else {
+                    fr.feed(&valid);
+                }
+                prop_assert!(matches!(fr.next_frame(), FrameStep::Malformed(_)));
+                prop_assert_eq!(fr.buffered(), 0);
+            }
+            // Every frame of the intact prefix decodes bit-exactly, in order.
+            // (Bytes *after* the prefix are unprotected garbage: a truncated
+            // tail merged with junk may parse as some frame — TCP integrity,
+            // not the length-prefix framing, is what rules that out in
+            // practice — so only the intact prefix is asserted on.)
+            for (d, f) in decoded.iter().zip(&frames).take(full_frames) {
+                prop_assert_eq!(d, f);
+            }
+            // With no truncation every encoded frame must come through before
+            // the garbage can poison the stream.
+            if !truncate_last {
+                prop_assert!(decoded.len() >= full_frames);
+            }
         }
-        // Every frame of the intact prefix decodes bit-exactly, in order.
-        // (Bytes *after* the prefix are unprotected garbage: a truncated
-        // tail merged with junk may parse as some frame — TCP integrity,
-        // not the length-prefix framing, is what rules that out in
-        // practice — so only the intact prefix is asserted on.)
-        for (d, f) in decoded.iter().zip(&frames).take(full_frames) {
-            prop_assert_eq!(d, f);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One `WriteBatch` grammar: the server's direct-to-batch decode
+    /// accepts exactly the bodies the `Frame` decoder accepts, and the
+    /// batch it builds parses back to the frame's `(lpid, payload)` list —
+    /// or refuses the first page `WriteBatch::put` refuses.
+    #[test]
+    fn request_decode_agrees_with_frame_decode(body in arb_body(), mode in arb_mode()) {
+        let frame = Frame::decode_body(&body);
+        let request = Request::decode_body(&body, mode);
+        prop_assert_eq!(frame.is_some(), request.is_some());
+        match (frame, request) {
+            (Some(Frame::WriteBatch { sid, wsn, pages }), Some(Request::Write(w))) => {
+                prop_assert_eq!((w.sid, w.wsn), (sid, wsn));
+                let payload: usize = pages.iter().map(|(_, p)| p.len()).sum();
+                prop_assert_eq!(w.payload_bytes, payload as u64);
+                let mut reference = WriteBatch::new(mode);
+                let refused = pages.iter().find_map(|(l, p)| reference.put(*l, p).err());
+                match w.batch {
+                    Err(e) => prop_assert_eq!(Some(e), refused),
+                    Ok(batch) => {
+                        prop_assert_eq!(refused, None);
+                        prop_assert_eq!(batch.as_bytes(), reference.as_bytes());
+                        if pages.is_empty() {
+                            prop_assert!(batch.is_empty());
+                        } else {
+                            let bytes = batch.as_bytes();
+                            let parsed: Vec<(Lpid, Vec<u8>)> = parse_batch(bytes, mode)
+                                .unwrap()
+                                .iter()
+                                .map(|e| {
+                                    let at = e.start + ENTRY_HEADER;
+                                    (e.lpid, bytes[at..at + e.payload_len].to_vec())
+                                })
+                                .collect();
+                            prop_assert_eq!(parsed, pages);
+                        }
+                    }
+                }
+            }
+            (Some(f), Some(Request::Frame(g))) => {
+                prop_assert!(!matches!(f, Frame::WriteBatch { .. }));
+                prop_assert_eq!(f, g);
+            }
+            (None, None) => {}
+            (f, r) => prop_assert!(false, "decoders disagree: {:?} vs {:?}", f, r),
         }
-        // With no truncation every encoded frame must come through before
-        // the garbage can poison the stream.
-        if !truncate_last {
-            prop_assert!(decoded.len() >= full_frames);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A frame of exactly `MAX_FRAME` bytes decodes through `read_from`
+    /// under any read chunking, between ordinary frames; garbage after it
+    /// poisons the stream for good.
+    #[test]
+    fn max_size_frame_decodes_through_read_from(
+        lead in prop::collection::vec(arb_frame(), 0..3),
+        read_cuts in arb_read_cuts(),
+    ) {
+        let big = Frame::WriteBatch {
+            sid: 1,
+            wsn: 1,
+            pages: vec![(7, vec![0xAB; MAX_FRAME - 33])],
+        };
+        let mut frames = lead;
+        frames.push(big);
+        frames.push(Frame::Shutdown);
+        let mut wire = Vec::new();
+        for f in &frames {
+            wire.extend_from_slice(&f.encode());
         }
+        prop_assert_eq!(frames[frames.len() - 2].encode().len(), 4 + MAX_FRAME);
+        wire.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+
+        let mut fr = FrameReader::new();
+        let mut decoded = Vec::new();
+        let mut dead = false;
+        let mut src = ChunkedReader::new(&wire, &read_cuts);
+        while !dead && fr.read_from(&mut src).unwrap() > 0 {
+            dead = drain(&mut fr, &mut decoded);
+        }
+        prop_assert!(dead, "oversized length after the frames poisons");
+        prop_assert!(decoded == frames, "every frame up to the garbage decodes");
+        prop_assert_eq!(fr.read_from(&mut &Frame::Shutdown.encode()[..]).unwrap(), 5);
+        prop_assert!(matches!(fr.next_frame(), FrameStep::Malformed(_)));
     }
 }
 

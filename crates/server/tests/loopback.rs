@@ -1,14 +1,15 @@
 //! Loopback end-to-end: N concurrent TCP clients through group commit,
-//! kill/reconnect-redo, WSN re-ACK semantics on the wire, and
-//! drain-on-shutdown (ISSUE 10 acceptance test).
+//! kill/reconnect-redo, WSN re-ACK semantics on the wire, refused pages,
+//! and drain-on-shutdown.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
 use eleos::frontend::GroupCommitPolicy;
-use eleos::types::Lpid;
+use eleos::types::{Lpid, MAP_PAGE_BASE};
 use eleos::{Controller, Eleos, EleosConfig, EleosError, ShardedEleos};
 use eleos_flash::{Activity, CostProfile, FlashDevice, Geometry};
+use eleos_server::proto::ERR_BAD_REQUEST;
 use eleos_server::{Client, Frame, FrameReader, FrameStep, ServerHandle, PROTO_VERSION, REACK_GROUP};
 
 fn devices(n: usize) -> Vec<FlashDevice> {
@@ -20,6 +21,31 @@ fn devices(n: usize) -> Vec<FlashDevice> {
 fn spawn_single(policy: GroupCommitPolicy) -> ServerHandle<Eleos> {
     let ssd = Eleos::format(devices(1).pop().unwrap(), EleosConfig::test_small()).unwrap();
     ServerHandle::spawn(ssd, policy, "127.0.0.1:0").unwrap()
+}
+
+/// Block until the server sends one whole frame.
+fn recv(stream: &mut TcpStream, fr: &mut FrameReader) -> Frame {
+    loop {
+        match fr.next_frame() {
+            FrameStep::Frame(f) => return f,
+            FrameStep::Malformed(w) => panic!("malformed from server: {w}"),
+            FrameStep::NeedMore => {}
+        }
+        assert!(fr.read_from(stream).unwrap() > 0, "server closed unexpectedly");
+    }
+}
+
+/// Open a raw protocol connection and a fresh session on it.
+fn raw_session(addr: std::net::SocketAddr) -> (TcpStream, FrameReader, u64) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut fr = FrameReader::new();
+    stream
+        .write_all(&Frame::Hello { version: PROTO_VERSION, sid: 0 }.encode())
+        .unwrap();
+    match recv(&mut stream, &mut fr) {
+        Frame::HelloOk { sid, highest_wsn: 0 } => (stream, fr, sid),
+        f => panic!("unexpected: {f:?}"),
+    }
 }
 
 #[test]
@@ -139,30 +165,7 @@ fn killed_client_loses_only_unacked_and_redo_deduplicates() {
 #[test]
 fn gap_and_duplicate_wsns_reack_without_applying() {
     let handle = spawn_single(GroupCommitPolicy::default());
-    let addr = handle.addr();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let mut fr = FrameReader::new();
-    let recv = |stream: &mut TcpStream, fr: &mut FrameReader| -> Frame {
-        let mut buf = [0u8; 4096];
-        loop {
-            match fr.next_frame() {
-                FrameStep::Frame(f) => return f,
-                FrameStep::Malformed(w) => panic!("malformed from server: {w}"),
-                FrameStep::NeedMore => {}
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "server closed unexpectedly");
-            fr.feed(&buf[..n]);
-        }
-    };
-
-    stream
-        .write_all(&Frame::Hello { version: PROTO_VERSION, sid: 0 }.encode())
-        .unwrap();
-    let sid = match recv(&mut stream, &mut fr) {
-        Frame::HelloOk { sid, highest_wsn: 0 } => sid,
-        f => panic!("unexpected: {f:?}"),
-    };
+    let (mut stream, mut fr, sid) = raw_session(handle.addr());
 
     // WSN 1 applies and ACKs durably.
     stream
@@ -210,6 +213,87 @@ fn gap_and_duplicate_wsns_reack_without_applying() {
     );
     assert_eq!(ssd.read(3).unwrap().as_ref(), &[0x22; 64][..]);
     assert_eq!(ssd.session_highest(sid), Some(2));
+}
+
+/// A well-formed batch the controller cannot take — a reserved LPID, or no
+/// pages at all — is refused whole with `ERR_BAD_REQUEST`: nothing is
+/// applied, the session's WSN does not advance, and the connection keeps
+/// serving.
+#[test]
+fn bad_pages_are_refused_without_applying_or_advancing() {
+    let handle = spawn_single(GroupCommitPolicy::default());
+    let (mut stream, mut fr, sid) = raw_session(handle.addr());
+    let send = |stream: &mut TcpStream, f: Frame| stream.write_all(&f.encode()).unwrap();
+
+    send(&mut stream, Frame::WriteBatch { sid, wsn: 1, pages: vec![(1, vec![0x11; 64])] });
+    match recv(&mut stream, &mut fr) {
+        Frame::Ack { highest_wsn: 1, group, .. } => assert_ne!(group, REACK_GROUP),
+        f => panic!("unexpected: {f:?}"),
+    }
+
+    // A reserved LPID refuses the whole batch, the legal page beside it too.
+    send(&mut stream, Frame::WriteBatch {
+        sid,
+        wsn: 2,
+        pages: vec![(2, vec![0x22; 64]), (MAP_PAGE_BASE, vec![0xEE; 64])],
+    });
+    match recv(&mut stream, &mut fr) {
+        Frame::Err { code, detail } => {
+            assert_eq!(code, ERR_BAD_REQUEST);
+            assert!(detail.starts_with("bad page"), "{detail}");
+        }
+        f => panic!("unexpected: {f:?}"),
+    }
+
+    // An empty batch has its own refusal, not the session one.
+    send(&mut stream, Frame::WriteBatch { sid, wsn: 2, pages: vec![] });
+    match recv(&mut stream, &mut fr) {
+        Frame::Err { code, detail } => {
+            assert_eq!(code, ERR_BAD_REQUEST);
+            assert_eq!(detail, "empty write batch");
+        }
+        f => panic!("unexpected: {f:?}"),
+    }
+
+    // WSN 2 is still the next one: it applies (no re-ACK), and reads on the
+    // same connection see neither refused page.
+    send(&mut stream, Frame::WriteBatch { sid, wsn: 2, pages: vec![(3, vec![0x33; 64])] });
+    match recv(&mut stream, &mut fr) {
+        Frame::Ack { highest_wsn: 2, group, .. } => assert_ne!(group, REACK_GROUP),
+        f => panic!("unexpected: {f:?}"),
+    }
+    send(&mut stream, Frame::ReadBatch { lpids: vec![1, 2, 3] });
+    match recv(&mut stream, &mut fr) {
+        Frame::ReadResp { pages } => assert_eq!(
+            pages,
+            vec![Some(vec![0x11; 64]), None, Some(vec![0x33; 64])]
+        ),
+        f => panic!("unexpected: {f:?}"),
+    }
+
+    let (mut ssd, stats) = handle.shutdown();
+    assert_eq!(stats.reacks, 0);
+    assert!(matches!(ssd.read(2), Err(EleosError::NotFound(_))), "refused page not applied");
+    assert_eq!(ssd.session_highest(sid), Some(2));
+    assert!(ssd.snapshot().conservation_error().is_none());
+}
+
+/// Both ends of a connection disable Nagle: a small request must not wait
+/// for the peer's delayed ACK. The client's socket keeps it across a
+/// reconnect.
+#[test]
+fn client_sockets_disable_nagle_across_reconnect() {
+    let handle = spawn_single(GroupCommitPolicy::default());
+    let addr = handle.addr();
+    let mut c = Client::connect(addr).unwrap();
+    assert!(c.raw_stream().nodelay().unwrap(), "connect sets TCP_NODELAY");
+    c.write(vec![(1, vec![0x44; 32])]).unwrap();
+    c.kill();
+    c.reconnect(addr).unwrap();
+    assert!(c.raw_stream().nodelay().unwrap(), "reconnect sets TCP_NODELAY");
+    c.wait_all_acked().unwrap();
+    assert_eq!(c.read(vec![1]).unwrap()[0].as_deref(), Some(&[0x44; 32][..]));
+    handle.shutdown();
 }
 
 #[test]

@@ -7,9 +7,9 @@
 # monotonic shard scaling, sharded refinement proptest), bounded
 # chaos-soak smokes (fault-injected differential oracle, single-client,
 # multi-client and sharded), the wire-server gates (loopback e2e, frame
-# fuzz, killed-connection sweep, session WSN redo, net chaos smoke), then
-# the wall-clock perf smoke gate against the committed
-# BENCH_controller.json.
+# fuzz, killed-connection sweep, session WSN redo, net chaos smoke, wire
+# correctness smoke), then the wall-clock perf smoke gate against the
+# committed BENCH_controller.json.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -100,6 +100,18 @@ echo "== net chaos smoke (killed conns, partial frames, slow readers) =="
 # Randomized wire-level chaos against the loopback server plus a bounded
 # kill-at-every-ordinal sweep, audited by the differential oracle.
 cargo run --release -p eleos-bench --bin chaos -- --net --seeds 3 --kill-sweep 8 --shards 2
+
+echo "== wire correctness smoke (wirebench, 1 s per workload) =="
+# The wire benchmark's own checks on every wire-path change: stamped pages
+# read back, exact state after crash + recovery, zero re-ACKs, and ledger
+# conservation. A violation exits non-zero and prints "correct": false.
+for workload in tpcc_write gc_churn read_mix; do
+  out="$(cargo run --release --quiet --offline --manifest-path wirebench/Cargo.toml -- \
+           --workload "$workload" --seconds 1 --trace 0)" \
+    || { echo "wire smoke: wirebench $workload exited non-zero" >&2; exit 1; }
+  grep -q '"correct": true' <<<"$out" \
+    || { echo "wire smoke: wirebench $workload is not correct" >&2; exit 1; }
+done
 
 echo "== telemetry gate (snapshot schema + conservation) =="
 # perfbench --telemetry-out runs a small mixed scenario, enforces the
