@@ -93,7 +93,6 @@ pub fn bench_net_scale(scale: &str, label: &str) -> BenchEntry {
         cpu_busy_ns: snap.cpu_busy_ns,
         flash_busy_ns: snap.flash.channel_busy_ns.iter().sum(),
         write_p99_ns: snap.span(SpanKind::WriteBatch).p99(),
-        host_threads: 1,
         mapping_cache_pages: 1 << 12,
         gc_policy: GcPolicy::MinCostDecline.label().to_string(),
         shards: 1,

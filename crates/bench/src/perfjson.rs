@@ -23,11 +23,6 @@ pub struct BenchEntry {
     /// p99 of the write-batch latency span, simulated ns (0 when the bench
     /// records no write spans, and in pre-telemetry committed entries).
     pub write_p99_ns: u64,
-    /// Host worker threads executing batched flash commands (`--threads`):
-    /// 1 for serial runs and for entries committed before the execution
-    /// mode existed. Simulated results are identical across thread counts;
-    /// this key only labels the wall-clock measurement.
-    pub host_threads: u32,
     /// Controller shards the bench ran against (`--shards`): 1 for the
     /// unsharded path and for entries committed before sharding existed.
     pub shards: u32,
@@ -54,8 +49,8 @@ pub fn render_entry(e: &BenchEntry, out: &mut String) {
         "  {{\"label\": \"{}\", \"bench\": \"{}\", \"scale\": \"{}\", \"ops\": {}, \
          \"host_seconds\": {:.4}, \"sim_ops_per_host_sec\": {:.1}, \
          \"bytes_programmed\": {}, \"bytes_read\": {}, \"cpu_busy_ns\": {}, \
-         \"flash_busy_ns\": {}, \"write_p99_ns\": {}, \"host_threads\": {}, \
-         \"shards\": {}, \"mapping_cache_pages\": {}, \"gc_policy\": \"{}\", \
+         \"flash_busy_ns\": {}, \"write_p99_ns\": {}, \"shards\": {}, \
+         \"mapping_cache_pages\": {}, \"gc_policy\": \"{}\", \
          \"net_clients\": {}}}",
         e.label,
         e.bench,
@@ -68,7 +63,6 @@ pub fn render_entry(e: &BenchEntry, out: &mut String) {
         e.cpu_busy_ns,
         e.flash_busy_ns,
         e.write_p99_ns,
-        e.host_threads,
         e.shards,
         e.mapping_cache_pages,
         e.gc_policy,
@@ -118,11 +112,6 @@ pub fn parse_entries(text: &str) -> Vec<BenchEntry> {
             cpu_busy_ns: num("cpu_busy_ns") as u64,
             flash_busy_ns: num("flash_busy_ns") as u64,
             write_p99_ns: num("write_p99_ns") as u64,
-            // Entries committed before execution modes existed were all
-            // single-threaded.
-            host_threads: field("host_threads")
-                .and_then(|v| v.parse::<u32>().ok())
-                .unwrap_or(1),
             // Entries committed before sharding existed ran unsharded.
             shards: field("shards").and_then(|v| v.parse::<u32>().ok()).unwrap_or(1),
             // Pre-demand-paging entries held the whole map in memory.
@@ -177,7 +166,6 @@ mod tests {
             cpu_busy_ns: 777,
             flash_busy_ns: 888,
             write_p99_ns: 999,
-            host_threads: 8,
             shards: 4,
             mapping_cache_pages: 16384,
             gc_policy: "greedy".into(),
@@ -193,7 +181,6 @@ mod tests {
         assert_eq!(back[0].cpu_busy_ns, 777);
         assert_eq!(back[0].flash_busy_ns, 888);
         assert_eq!(back[0].write_p99_ns, 999);
-        assert_eq!(back[0].host_threads, 8);
         assert_eq!(back[0].shards, 4);
         assert_eq!(back[0].mapping_cache_pages, 16384);
         assert_eq!(back[0].gc_policy, "greedy");
@@ -210,9 +197,7 @@ mod tests {
         assert_eq!(back[0].cpu_busy_ns, 0);
         assert_eq!(back[0].flash_busy_ns, 0);
         assert_eq!(back[0].write_p99_ns, 0);
-        // Pre-execution-mode entries were single-threaded, not 0-threaded;
-        // pre-sharding entries ran one shard, not zero.
-        assert_eq!(back[0].host_threads, 1);
+        // Pre-sharding entries ran one shard, not zero.
         assert_eq!(back[0].shards, 1);
         // Pre-demand-paging entries held the whole map in memory (0 =
         // unbounded) and always used the paper's GC selection.
@@ -220,6 +205,17 @@ mod tests {
         assert_eq!(back[0].gc_policy, "min_cost_decline");
         // Pre-server entries ran in-process.
         assert_eq!(back[0].net_clients, 0);
+
+        // Entries written while the host thread-count key existed still
+        // read: the unknown key is skipped and its neighbours stay intact.
+        let threaded = "  {\"label\": \"exec-parallel\", \"bench\": \"b\", \"scale\": \"full\", \
+                        \"ops\": 9, \"write_p99_ns\": 5, \"host_threads\": 8, \"shards\": 2}";
+        let back = parse_entries(threaded);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].label, "exec-parallel");
+        assert_eq!(back[0].ops, 9);
+        assert_eq!(back[0].write_p99_ns, 5);
+        assert_eq!(back[0].shards, 2);
     }
 
     #[test]
@@ -236,7 +232,6 @@ mod tests {
             cpu_busy_ns: 0,
             flash_busy_ns: 0,
             write_p99_ns: 0,
-            host_threads: 1,
             shards: 1,
             mapping_cache_pages: 0,
             gc_policy: "min_cost_decline".into(),

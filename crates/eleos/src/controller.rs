@@ -220,7 +220,6 @@ impl Eleos {
     /// log EBLOCK, build free lists, and take the initial checkpoint.
     pub fn format(mut dev: FlashDevice, cfg: EleosConfig) -> Result<Eleos> {
         dev.telemetry_mut().set_enabled(cfg.telemetry);
-        dev.set_exec_mode(cfg.execution);
         let geo = *dev.geometry();
         assert!(geo.channels <= 64, "PhysAddr packs 6 channel bits");
         assert!(geo.eblocks_per_channel <= 1 << 18, "PhysAddr packs 18 eblock bits");
@@ -638,7 +637,7 @@ impl Eleos {
                 .ok_or(EleosError::NotFound(lpid))?;
             addrs.push(addr);
         }
-        // Phase 2: submit every data read, channel-major, then wait once.
+        // Phase 2: submit every data read in one batch, then wait once.
         let exts: Vec<ByteExtent> = addrs.iter().map(|a| a.extent()).collect();
         let reads = self.dev.read_extents_async(&exts)?;
         let tickets: Vec<IoTicket> = reads.iter().map(|r| r.1).collect();
@@ -1266,10 +1265,10 @@ impl Eleos {
         }
 
         // ---- execution: transfer data to the storage media ----
-        // One batched submission: the device pre-resolves ordering, power
-        // and fault decisions in input order, then executes per channel —
-        // on worker threads under `ExecMode::Parallel`. The plan's buffers
-        // are refcount clones of the batch transport's, no byte copies.
+        // One batched submission: the device programs the plan's WBLOCKs in
+        // input order and stops at the first error; programs on distinct
+        // channels overlap on the simulated clock. The plan's buffers are
+        // refcount clones of the batch transport's, no byte copies.
         let mut max_done = 0;
         for r in self.dev.program_batch(&plan.ios) {
             match r {

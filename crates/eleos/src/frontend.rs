@@ -14,9 +14,9 @@
 //! cross-shard group-commit guarantee).
 //!
 //! The front-end is generic over [`Controller`], so the same
-//! implementation (formerly duplicated as `ShardedFrontend`) drives both
-//! [`Eleos`](crate::Eleos) and the sharded array — unit 0 hosts the
-//! dispatch clock and the front-end's own CPU ledger rows in both cases.
+//! implementation drives both [`Eleos`](crate::Eleos) and the sharded
+//! array — unit 0 hosts the dispatch clock and the front-end's own CPU
+//! ledger rows in both cases.
 //!
 //! Everything runs on the shared [`SimClock`]: arrival gaps and the
 //! group-commit *time threshold* advance the CPU horizon via idle waits

@@ -179,11 +179,11 @@ impl Eleos {
     /// schedule-identical to the legacy code.
     ///
     /// Multi-victim rounds go through [`FlashDevice::erase_batch`]: all
-    /// erases are submitted in one device batch (executing on the worker
-    /// pool under `ExecMode::Parallel`), then each successfully erased
-    /// block is retired in victim order. An error mid-batch still retires
-    /// the successfully erased prefix — those blocks are physically erased,
-    /// so their descriptors must not go stale — before propagating.
+    /// erases are submitted in one device batch, overlapping on their
+    /// channels' timelines, then each successfully erased block is retired
+    /// in victim order. An error mid-batch still retires the successfully
+    /// erased prefix — those blocks are physically erased, so their
+    /// descriptors must not go stale — before propagating.
     pub(crate) fn erase_batch(&mut self, ebs: &[EblockAddr]) -> Result<()> {
         match ebs {
             [] => Ok(()),
@@ -216,7 +216,7 @@ impl Eleos {
     }
 
     /// Collect one victim per channel in a single overlapped round:
-    /// metadata reads are submitted channel-major and retired together,
+    /// metadata reads are submitted in one batch and retired together,
     /// each victim's valid-page reads are submitted as they are identified
     /// and retired with one collective wait, relocation actions defer their
     /// durability wait to a shared horizon, and the final erases overlap.

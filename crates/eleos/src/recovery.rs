@@ -103,7 +103,6 @@ impl Eleos {
         coord: Option<&HashSet<u64>>,
     ) -> Result<(Eleos, CoordRecovery)> {
         dev.telemetry_mut().set_enabled(cfg.telemetry);
-        dev.set_exec_mode(cfg.execution);
         // Everything until the controller is handed back — checkpoint
         // probes, log scan, table loads, replay, fixups — is recovery work.
         // The activity is set on the *device* because most of it happens
@@ -665,7 +664,7 @@ impl Eleos {
             .chain(scan.resume_candidates.iter().map(|c| c.eblock))
             .collect();
         // Deferred completion: prefetch every metadata probe in one
-        // channel-major batch before the fixup loop, so probes on distinct
+        // batch before the fixup loop, so probes on distinct
         // channels overlap instead of each blocking the CPU. The loop
         // consumes the prefetched bytes; EBLOCKs that *become* probe
         // candidates mid-loop (e.g. allocated by a migrate) fall back to

@@ -2,12 +2,12 @@
 //!
 //! The LPID space is hash-partitioned across N independent [`Eleos`]
 //! shards, each owning its own flash device (channels, WAL, GC, mapping,
-//! telemetry ledger) and its own `ExecMode` worker pool. [`ShardedEleos`]
-//! is the router: it splits a client batch into per-shard sub-batches and
-//! commits groups that straddle shards atomically with a **two-phase group
-//! commit** — every participant forces a `Prepare { gid }` record after
-//! its data programs, the coordinator (shard 0) forces `CoordCommit
-//! { gid }`, and only then do participants install and `Commit`. A crash
+//! telemetry ledger). [`ShardedEleos`] is the router: it splits a client
+//! batch into per-shard sub-batches and commits groups that straddle
+//! shards atomically with a **two-phase group commit** — every
+//! participant forces a `Prepare { gid }` record after its data programs,
+//! the coordinator (shard 0) forces `CoordCommit { gid }`, and only then
+//! do participants install and `Commit`. A crash
 //! anywhere in that window never exposes a half-applied group: recovery
 //! replays each shard, collects prepared-but-undecided actions, and
 //! resolves them against the coordinator's durable gid set (redo if
@@ -398,20 +398,11 @@ impl ShardedEleos {
 /// [`crate::frontend::GroupAck`].
 pub use crate::frontend::GroupAck;
 
-/// The sharded front-end *is* the generic [`crate::Frontend`]: since the
-/// front-end went generic over [`crate::Controller`], the line-for-line
-/// `ShardedFrontend` twin this module carried in PR 7 collapsed into it.
-/// The alias keeps PR 7 call sites compiling unchanged; front-end
-/// bookkeeping (queue CPU, group-assembly CPU, the group-flush span) is
-/// charged to unit 0 — shard 0 here — so a 1-shard run stays
-/// byte-identical to the unsharded front-end.
-pub use crate::frontend::Frontend as ShardedFrontend;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PageMode;
-    use crate::frontend::GroupCommitPolicy;
+    use crate::frontend::{Frontend, GroupCommitPolicy};
     use eleos_flash::{CostProfile, Geometry};
 
     fn devs(n: usize) -> Vec<FlashDevice> {
@@ -505,7 +496,7 @@ mod tests {
     #[test]
     fn sharded_frontend_acks_and_conserves_per_shard() {
         let mut sh = sharded(2);
-        let mut fe = ShardedFrontend::new(2, GroupCommitPolicy::default());
+        let mut fe = Frontend::new(2, GroupCommitPolicy::default());
         let (a, b) = straddling_pair();
         fe.submit(&mut sh, 0, 100, batch(&[(a, 3, 200)])).unwrap();
         fe.submit(&mut sh, 1, 200, batch(&[(b, 4, 200)])).unwrap();

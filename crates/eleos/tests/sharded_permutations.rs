@@ -1,7 +1,7 @@
 //! Schedule-permutation refinement proptest for the *sharded* front-end.
 //!
 //! The sharded twin of `frontend_permutations.rs`. Property: the
-//! [`ShardedFrontend`] + [`ShardedEleos`] pair is a *refinement* of the
+//! [`Frontend`] + [`ShardedEleos`] pair is a *refinement* of the
 //! unsharded single-writer path. For an arbitrary interleaving of client
 //! streams — arbitrary arrival gaps, group boundaries moved around by
 //! policy knobs and random explicit flushes — the final durable state
@@ -13,8 +13,8 @@
 //! duplicate-LPID later-wins resolution when the duplicates land on
 //! different sub-batches of the same group — must never be observable.
 
-use eleos::frontend::GroupCommitPolicy;
-use eleos::sharded::{shard_of_lpid, ShardedEleos, ShardedFrontend};
+use eleos::frontend::{Frontend, GroupCommitPolicy};
+use eleos::sharded::{shard_of_lpid, ShardedEleos};
 use eleos::{Eleos, EleosConfig, EleosError, PageMode, WriteBatch, WriteOpts};
 use eleos_flash::{CostProfile, FlashDevice, Geometry};
 use proptest::prelude::*;
@@ -117,7 +117,7 @@ proptest! {
 
         // Run A: the multi-client front-end over the sharded router.
         let mut a = sharded();
-        let mut fe = ShardedFrontend::new(clients, policy);
+        let mut fe = Frontend::new(clients, policy);
         // Per-client list of batch indices, to resolve (client, seq) ACKs.
         let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); clients];
         let mut ack_order: Vec<(usize, u64)> = Vec::new();

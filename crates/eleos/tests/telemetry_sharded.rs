@@ -5,8 +5,8 @@
 //! ledger rows stay labeled by shard id so attribution remains traceable
 //! to the controller that spent the time.
 
-use eleos::frontend::GroupCommitPolicy;
-use eleos::sharded::{ShardedEleos, ShardedFrontend};
+use eleos::frontend::{Frontend, GroupCommitPolicy};
+use eleos::sharded::ShardedEleos;
 use eleos::{EleosConfig, PageMode, TelemetrySnapshot, WriteBatch};
 use eleos_flash::{Activity, CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, MultiClientConfig};
@@ -41,7 +41,7 @@ fn merged_snapshot_conserves_per_shard_and_labels_rows() {
         seed: 9,
         ..MultiClientConfig::default()
     };
-    let mut fe = ShardedFrontend::new(
+    let mut fe = Frontend::new(
         mc.clients,
         GroupCommitPolicy {
             flush_bytes: 4 * 1024,

@@ -8,7 +8,7 @@
 //! mirroring how a real controller's DMA'd read buffers survive the erase of
 //! their source block.
 
-use crate::error::{FlashError, Result};
+use crate::error::FlashError;
 use crate::geometry::{Geometry, TAG_BYTES_PER_RBLOCK};
 use bytes::Bytes;
 
@@ -57,7 +57,22 @@ impl EblockSim {
         geo: &Geometry,
         wblock: u32,
     ) -> std::result::Result<(), ProgramCheck> {
-        check_program_rules(self.poisoned, self.programmed_wblocks(), geo, wblock)
+        let programmed = self.programmed_wblocks();
+        if self.poisoned {
+            return Err(ProgramCheck::Poisoned);
+        }
+        if programmed >= geo.wblocks_per_eblock {
+            return Err(ProgramCheck::Full);
+        }
+        if wblock < programmed {
+            return Err(ProgramCheck::Rewrite);
+        }
+        if wblock != programmed {
+            return Err(ProgramCheck::OutOfOrder {
+                expected: programmed,
+            });
+        }
+        Ok(())
     }
 
     /// Commit a successful program of `wblock` (already validated): adopt
@@ -132,34 +147,6 @@ impl EblockSim {
     }
 }
 
-/// The NAND programming rules as a pure function of `(poisoned, programmed
-/// frontier)`, shared by [`EblockSim::check_programmable`] and the batch
-/// execution engine's pre-pass (which validates against a *virtual*
-/// frontier that includes earlier programs of the same batch, before any
-/// of them has been applied).
-pub(crate) fn check_program_rules(
-    poisoned: bool,
-    programmed: u32,
-    geo: &Geometry,
-    wblock: u32,
-) -> std::result::Result<(), ProgramCheck> {
-    if poisoned {
-        return Err(ProgramCheck::Poisoned);
-    }
-    if programmed >= geo.wblocks_per_eblock {
-        return Err(ProgramCheck::Full);
-    }
-    if wblock < programmed {
-        return Err(ProgramCheck::Rewrite);
-    }
-    if wblock != programmed {
-        return Err(ProgramCheck::OutOfOrder {
-            expected: programmed,
-        });
-    }
-    Ok(())
-}
-
 /// Internal programming-rule verdicts, converted to [`FlashError`] by the
 /// device (which knows the full address).
 #[derive(Debug)]
@@ -183,9 +170,6 @@ impl ProgramCheck {
         }
     }
 }
-
-/// Re-exported for device module use.
-pub(crate) fn _silence_unused(_: &Result<()>) {}
 
 #[cfg(test)]
 mod tests {
